@@ -157,12 +157,10 @@ void BM_MediumEnergyQuery(benchmark::State& state) {
 BENCHMARK(BM_MediumEnergyQuery);
 
 void BM_FullScenarioSimulatedSecond(benchmark::State& state, const char* preset,
-                                    int seed_override, bool spatial_index,
-                                    int sim_threads) {
+                                    int seed_override, bool spatial_index) {
   auto spec = *coex::ScenarioSpec::preset(preset);
   if (seed_override >= 0) spec.set("seed", seed_override);
   spec.set("medium.spatial_index", spatial_index);
-  spec.set("sim.threads", sim_threads);
   const auto cfg = spec.must_config();
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -173,37 +171,30 @@ void BM_FullScenarioSimulatedSecond(benchmark::State& state, const char* preset,
   }
   // Each iteration simulates exactly one second, so the rate counter reads
   // directly as simulated seconds per wallclock second. items_per_second is
-  // events dispatched per wallclock second — the scheduler-throughput view
-  // the parallel dispatcher is meant to move.
+  // events dispatched per wallclock second — the scheduler-throughput view.
   state.counters["sim_sec_per_wall_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, default, "default", 5, false, 1)
+BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, default, "default", 5, false)
     ->Unit(benchmark::kMillisecond);
 // The dense pair demonstrates the spatial index at scale: same preset, same
 // seed, same (bitwise-identical) simulation output — the only difference is
 // whether the medium walks every node per event or a grid neighborhood.
-BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, dense1k, "dense1k", -1, true, 1)
+BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, dense1k, "dense1k", -1, true)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, dense1k_brute, "dense1k", -1, false, 1)
+BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, dense1k_brute, "dense1k", -1, false)
     ->Unit(benchmark::kMillisecond);
-// The parallel-dispatch gate: same dense1k preset, same seed, bitwise-
-// identical output, but the phased medium fan-out spreads each event's
-// listener sweep over 8 worker threads. Speedup scales with physical cores;
-// on a single-core host it measures pure coordination overhead instead.
-BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, dense1k_t8, "dense1k", -1, true, 8)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 // City scale: the largest shipped preset, serial baseline for the same
 // events-per-second counter.
-BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, city, "city", -1, true, 1)
+BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, city, "city", -1, true)
     ->Unit(benchmark::kMillisecond);
 // The third/fourth technologies: LTE-U's periodic wideband bursts dominate
 // the event mix (duty cycling, no per-packet MAC), while TSCH adds a lockstep
 // radio retune every hop period on top of the normal link traffic.
-BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, lteu, "lteu", -1, true, 1)
+BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, lteu, "lteu", -1, true)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, tsch, "tsch", -1, true, 1)
+BENCHMARK_CAPTURE(BM_FullScenarioSimulatedSecond, tsch, "tsch", -1, true)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -19,8 +19,6 @@
 #include "interferers/bluetooth.hpp"
 #include "interferers/lteu.hpp"
 #include "phy/medium.hpp"
-#include "phy/shard_map.hpp"
-#include "sim/parallel_dispatch.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 #include "wifi/traffic.hpp"
@@ -146,12 +144,6 @@ struct ScenarioConfig {
   /// historical brute-force behaviour bit for bit; dense presets flip the
   /// index on, and the equivalence suite proves outputs stay identical.
   phy::MediumTuning medium;
-  /// Worker threads inside this one simulation (`sim.threads`). 1 (default)
-  /// keeps the untouched serial path byte for byte; >= 2 attaches a
-  /// sim::WorkerPool to the medium (phased tx fan-out) and routes run_for
-  /// through a sim::ParallelDispatcher over a phy::ShardPlan. Output stays
-  /// bitwise identical across thread counts (golden-determinism pinned).
-  int sim_threads = 1;
   /// Background device field for the dense / city presets (empty = none).
   DenseFieldSpec dense;
   bool person_mobility = false;    ///< someone walks near the Wi-Fi receiver
@@ -180,7 +172,6 @@ struct ScenarioConfig {
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig config);
-  ~Scenario();
 
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
@@ -223,12 +214,6 @@ class Scenario {
   /// the hopping requester (which is also zigbee_agent()).
   [[nodiscard]] zigbee::TschHopSchedule* tsch_schedule() { return tsch_schedule_.get(); }
   [[nodiscard]] zigbee::TschRequester* tsch_requester();
-  /// Intra-simulation parallelism (non-null when sim_threads >= 2).
-  [[nodiscard]] sim::ParallelDispatcher* dispatcher() { return dispatcher_.get(); }
-  [[nodiscard]] const phy::ShardPlan* shard_plan() const {
-    return shard_plan_ ? &*shard_plan_ : nullptr;
-  }
-  [[nodiscard]] int sim_threads() const { return config_.sim_threads; }
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] wifi::PriorityScheduleSource* priority_source() {
     return priority_source_.get();
@@ -299,9 +284,6 @@ class Scenario {
   void build_dense();
   void build_mobility();
   void build_faults();
-  /// Worker pool + shard plan + dispatcher (sim_threads >= 2 only). Runs
-  /// last: the plan needs the final node population.
-  void build_parallel();
   std::unique_ptr<core::ZigbeeAgentBase> make_zigbee_agent(
       zigbee::ZigbeeMac& mac, phy::NodeId receiver, double data_power_dbm,
       double signaling_power_dbm, zigbee::EnergyMeter* meter);
@@ -309,9 +291,6 @@ class Scenario {
   ScenarioConfig config_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<phy::Medium> medium_;
-  std::unique_ptr<sim::WorkerPool> worker_pool_;
-  std::unique_ptr<sim::ParallelDispatcher> dispatcher_;
-  std::optional<phy::ShardPlan> shard_plan_;
 
   phy::NodeId wifi_sender_node_ = 0;
   phy::NodeId wifi_receiver_node_ = 0;

@@ -214,7 +214,6 @@ constexpr const char* kKnownKeys[] = {
     "pathloss.sigma",
     "medium.snap_floor", "medium.spatial_index",
     "medium.cell",   "medium.max_tx_power",
-    "sim.threads",
     "dense.wifi_pairs", "dense.zigbee_links",
     "dense.ble_nodes", "dense.area",
     "dense.clusters", "dense.cluster_sigma",
@@ -440,10 +439,6 @@ bool apply_entry(const ScenarioSpec::Entry& e, Lowering* out, std::string* error
   } else if (key == "medium.max_tx_power") {
     if (!parse_f64(value, &f)) return bad_value("a power in dBm");
     out->cfg.medium.max_tx_power_dbm = f;
-  } else if (key == "sim.threads") {
-    if (!parse_i64(value, &i) || i < 1 || i > 256)
-      return bad_value("a thread count in [1, 256]");
-    out->cfg.sim_threads = static_cast<int>(i);
   } else if (key == "dense.wifi_pairs") {
     if (!parse_i64(value, &i) || i < 0) return bad_value("a non-negative integer");
     out->cfg.dense.wifi_pairs = static_cast<int>(i);

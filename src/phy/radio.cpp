@@ -219,102 +219,6 @@ void Radio::on_tx_end(const ActiveTransmission& tx) {
   if (activity_cb_) activity_cb_();
 }
 
-// --- phased delivery --------------------------------------------------------
-//
-// The absorb/react pair partitions the single-phase handlers above without
-// reordering anything a callback or another listener can observe. Absorb
-// performs the listener-local prefix (early-outs, fading draw from the
-// radio's own split stream, tracking-state update, staged lock, SINR
-// sample); react replays the externally visible suffix (state transitions,
-// decode draw + delivery, activity pokes) serially in attach order, so the
-// shared-RNG draw order inside MAC callbacks matches the serial path draw
-// for draw.
-
-void Radio::on_tx_start_absorb(const ActiveTransmission& tx) {
-  StagedEdge staged;
-  staged.tx_id = tx.id;
-  // Early-outs mirror on_tx_start exactly (no draw, no tracking, no poke).
-  if (tx.frame.src != node_ && !tx.fault_dropped && medium_.audible(tx, node_)) {
-    const double fading_db = config_.fading_sigma_db > 0.0
-                                 // bicord-lint: allow(rng-in-parallel) — rng_ is this radio's own split stream; draw order is per-listener, not cross-worker.
-                                 ? rng_.normal(0.0, config_.fading_sigma_db)
-                                 : 0.0;
-    ongoing_.push_back(make_ongoing(tx, fading_db));
-    const double p = ongoing_.back().rx_power_dbm;
-    foreign_mw_sum_ += ongoing_.back().rx_power_mw;
-    staged.tracked = true;
-    staged.asleep = state_ == RadioState::Sleep;
-    if (!staged.asleep) {
-      if (state_ == RadioState::Idle && !rx_ && decodable(tx) &&
-          p >= config_.sensitivity_dbm) {
-        CurrentRx cur;
-        cur.tx_id = tx.id;
-        cur.result.frame = tx.frame;
-        cur.result.rssi_dbm = p;
-        cur.result.min_sinr_db = 1e9;  // lowered by update_rx_sinr below
-        cur.result.start = tx.start;
-        cur.result.end = tx.end;
-        rx_ = cur;
-        staged.locked = true;  // enter(Rx) deferred to react
-      }
-      update_rx_sinr();
-    }
-  }
-  staged_.push_back(staged);
-}
-
-void Radio::on_tx_start_react(const ActiveTransmission& tx) {
-  const auto it = std::find_if(staged_.rbegin(), staged_.rend(),
-                               [&tx](const StagedEdge& s) { return s.tx_id == tx.id; });
-  if (it == staged_.rend()) {
-    on_tx_start(tx);  // defensive: no absorb ran for this edge
-    return;
-  }
-  const StagedEdge staged = *it;
-  staged_.erase(std::next(it).base());
-  if (!staged.tracked || staged.asleep) return;
-  if (staged.locked) enter(RadioState::Rx);
-  if (activity_cb_) activity_cb_();
-}
-
-void Radio::on_tx_end_absorb(const ActiveTransmission& tx) {
-  StagedEdge staged;
-  staged.tx_id = tx.id;
-  // Own emissions are handled entirely in react (tx-done + state are
-  // externally visible); untracked foreign ends stay traceless.
-  if (tx.frame.src != node_) {
-    const auto it = std::find_if(ongoing_.begin(), ongoing_.end(),
-                                 [&tx](const Ongoing& o) { return o.id == tx.id; });
-    if (it != ongoing_.end()) {
-      update_rx_sinr();
-      staged.locked = rx_ && rx_->tx_id == tx.id;
-      foreign_mw_sum_ -= it->rx_power_mw;
-      ongoing_.erase(it);
-      if (ongoing_.empty()) foreign_mw_sum_ = 0.0;
-      staged.tracked = true;
-    }
-  }
-  staged_.push_back(staged);
-}
-
-void Radio::on_tx_end_react(const ActiveTransmission& tx) {
-  const auto it = std::find_if(staged_.rbegin(), staged_.rend(),
-                               [&tx](const StagedEdge& s) { return s.tx_id == tx.id; });
-  if (it == staged_.rend()) {
-    on_tx_end(tx);  // defensive: no absorb ran for this edge
-    return;
-  }
-  const StagedEdge staged = *it;
-  staged_.erase(std::next(it).base());
-  if (tx.frame.src == node_) {
-    on_tx_end(tx);  // the own-emission branch is untouched by absorb
-    return;
-  }
-  if (!staged.tracked) return;
-  if (staged.locked) finalize_rx(tx);
-  if (activity_cb_) activity_cb_();
-}
-
 void Radio::finalize_rx(const ActiveTransmission& tx) {
   RxResult result = rx_->result;
   rx_.reset();

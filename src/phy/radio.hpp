@@ -127,16 +127,6 @@ class Radio final : public MediumListener {
   // MediumListener:
   void on_tx_start(const ActiveTransmission& tx) override;
   void on_tx_end(const ActiveTransmission& tx) override;
-  // Phased delivery (worker pool attached): absorb updates only this radio's
-  // tracking state — fading draw (own split stream), ongoing entry, energy
-  // sum, staged rx lock, SINR sample — while react, serial in attach order,
-  // performs everything externally visible: state transitions, decode +
-  // delivery, MAC activity pokes. The union replays on_tx_start/on_tx_end
-  // exactly, so output is bitwise identical to the serial path.
-  void on_tx_start_absorb(const ActiveTransmission& tx) override;
-  void on_tx_start_react(const ActiveTransmission& tx) override;
-  void on_tx_end_absorb(const ActiveTransmission& tx) override;
-  void on_tx_end_react(const ActiveTransmission& tx) override;
 
   // --- statistics -----------------------------------------------------------
   [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
@@ -170,15 +160,6 @@ class Radio final : public MediumListener {
     TxId tx_id;
     RxResult result;
   };
-  /// What an absorb phase staged for its matching react phase. Keyed by tx
-  /// id and kept in a small vector: a react callback that transmits would
-  /// nest another phased fan-out before the outer react loop finishes.
-  struct StagedEdge {
-    TxId tx_id = kInvalidTx;
-    bool tracked = false;  ///< absorb updated ongoing_/foreign_mw_sum_
-    bool locked = false;   ///< start: lock acquired; end: frame was locked
-    bool asleep = false;   ///< radio slept through the edge (no MAC poke)
-  };
 
   void enter(RadioState next);
   /// Shared tail of set_band/retune: swap the band and recompute every
@@ -211,7 +192,6 @@ class Radio final : public MediumListener {
   /// whenever the air goes quiet so incremental +/- rounding cannot drift.
   double foreign_mw_sum_ = 0.0;
   std::optional<CurrentRx> rx_;
-  std::vector<StagedEdge> staged_;  ///< absorb→react handoff (phased fan-out)
   RxCallback rx_cb_;
   StateCallback state_cb_;
   ActivityCallback activity_cb_;

@@ -1,6 +1,5 @@
 #include "runner/trial_pool.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -16,12 +15,6 @@ int resolve_jobs(int requested) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-int resolve_jobs_budgeted(int requested, int threads_per_trial) {
-  const int budget = resolve_jobs(requested);
-  if (threads_per_trial <= 1) return budget;
-  return std::max(1, budget / threads_per_trial);
 }
 
 TrialPool::TrialPool(int jobs) : jobs_(resolve_jobs(jobs)) {

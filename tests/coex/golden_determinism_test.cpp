@@ -277,88 +277,6 @@ TEST(GoldenDeterminismTest, MultigrantorJobsOneVsEightBitwiseIdentical) {
   }
 }
 
-// --- sim.threads: intra-simulation parallelism ------------------------------
-//
-// The whole point of the sharded dispatcher and the phased medium fan-out is
-// that per-seed output never depends on sim.threads. These tests compare the
-// complete metric line (hexfloat — bitwise) of a serial run against an
-// 8-thread run of the same spec, for each gate scenario named in the
-// acceptance criteria: dense, dense1k with a fault plan, and multigrantor.
-
-std::string threads_line(const std::string& preset, int threads,
-                         const std::string& fault, Duration warmup,
-                         Duration measure) {
-  auto spec = spec_for(preset);
-  spec.set("sim.threads", threads);
-  if (!fault.empty()) spec.set("fault.preset", fault);
-  return run_coex(preset, spec, warmup, measure);
-}
-
-TEST(GoldenDeterminismTest, DenseSimThreadsOneVsEightBitwiseIdentical) {
-  using namespace bicord::time_literals;
-  EXPECT_EQ(threads_line("dense", 1, "", 250_ms, 750_ms),
-            threads_line("dense", 8, "", 250_ms, 750_ms));
-}
-
-TEST(GoldenDeterminismTest, Dense1kMixedFaultsSimThreadsOneVsEightBitwiseIdentical) {
-  using namespace bicord::time_literals;
-  // Fault plans replay through the barrier queue; the injected drops,
-  // corruptions, and node churn must land on identical events either way.
-  EXPECT_EQ(threads_line("dense1k", 1, "mixed", 250_ms, 500_ms),
-            threads_line("dense1k", 8, "mixed", 250_ms, 500_ms));
-}
-
-TEST(GoldenDeterminismTest, MultigrantorSimThreadsOneVsEightBitwiseIdentical) {
-  using namespace bicord::time_literals;
-  // The election layer (takeover timers, shadowed CTS, ±ppm clock skew)
-  // shares the barrier queue; its counters are part of the compared line.
-  EXPECT_EQ(threads_line("multigrantor", 1, "", 250_ms, 750_ms),
-            threads_line("multigrantor", 8, "", 250_ms, 750_ms));
-}
-
-TEST(GoldenDeterminismTest, SimThreadsComposeWithJobsBitwiseIdentical) {
-  using namespace bicord::time_literals;
-  // sim.threads inside each trial, --jobs across trials: the two layers of
-  // parallelism must compose without perturbing per-trial seeds. The budget
-  // helper divides the worker count, so this also exercises
-  // resolve_jobs_budgeted at runtime.
-  auto make = [](int threads) {
-    auto spec = *ScenarioSpec::preset("dense");
-    spec.set("sim.threads", threads);
-    ExperimentRunner runner(spec.must_config(), 250_ms, 500_ms);
-    runner.add_metric("util", metric_total_utilization());
-    runner.add_metric("delivery", metric_zigbee_delivery());
-    return runner;
-  };
-  auto serial = make(1);
-  serial.set_jobs(1);
-  const auto a = serial.run(3);
-  auto par = make(4);
-  par.set_jobs(8);
-  const auto b = par.run(3);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].stats.mean(), b[i].stats.mean()) << a[i].name;
-    EXPECT_EQ(a[i].stats.stddev(), b[i].stats.stddev()) << a[i].name;
-  }
-}
-
-TEST(GoldenDeterminismTest, TschSimThreadsOneVsEightBitwiseIdentical) {
-  using namespace bicord::time_literals;
-  // Frequency agility under sharded dispatch: the lockstep hop retunes and
-  // the lease-based grant path must land on identical events either way.
-  EXPECT_EQ(threads_line("tsch", 1, "", 500_ms, 1500_ms),
-            threads_line("tsch", 8, "", 500_ms, 1500_ms));
-}
-
-TEST(GoldenDeterminismTest, LteuSimThreadsOneVsEightBitwiseIdentical) {
-  using namespace bicord::time_literals;
-  // The eNB's raw wideband begin_tx (no radio behind it) rides the phased
-  // medium fan-out the same way the dense BLE interferers do.
-  EXPECT_EQ(threads_line("lteu", 1, "", 500_ms, 1500_ms),
-            threads_line("lteu", 8, "", 500_ms, 1500_ms));
-}
-
 TEST(GoldenDeterminismTest, TschJobsOneVsEightBitwiseIdentical) {
   using namespace bicord::time_literals;
   auto make = [] {

@@ -508,19 +508,29 @@ TEST_F(BicordLintTest, AsyncAndJthreadOutsidePoolFire) {
 }
 
 TEST_F(BicordLintTest, ThreadInsidePoolHomesIsQuiet) {
-  // The two sanctioned homes: the trial pool and the intra-sim worker pool.
+  // The one sanctioned home: the trial pool.
   write("src/runner/trial_pool.cpp",
-        "#include <thread>\n"
-        "void pool() { std::thread t([] {}); t.join(); }\n");
-  write("src/sim/parallel_dispatch.cpp",
         "#include <thread>\n"
         "void pool() { std::thread t([] {}); t.join(); }\n");
   const Result r = run((root_ / "src").string());
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
+TEST_F(BicordLintTest, ThreadInsideSimulationFires) {
+  // A simulation runs on one thread: a worker pool under src/sim/ is not a
+  // sanctioned home.
+  const auto p = write("src/sim/worker_pool.cpp",
+                       "#include <thread>\n"
+                       "void pool() { std::thread t([] {}); t.join(); }\n");
+  const Result r = run_on(p);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("[thread-outside-pool]"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("runner::TrialPool"), std::string::npos) << r.output;
+}
+
 TEST_F(BicordLintTest, ThreadOutsidePoolIsWaivable) {
-  const auto p = write("src/sim/parallel_dispatch.hpp",
+  const auto p = write("src/sim/worker_pool.hpp",
                        "#pragma once\n"
                        "#include <thread>\n"
                        "#include <vector>\n"
@@ -630,177 +640,6 @@ TEST_F(BicordLintTest, LineContinuationChainsAndThenEnds) {
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("[wall-clock]"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("1 new finding"), std::string::npos) << r.output;
-}
-
-// --- parallel-phase rules: rng-in-parallel ----------------------------------
-
-TEST_F(BicordLintTest, RngDrawInParallelForFires) {
-  const auto p = write("src/pr1.cpp",
-                       "void jitter(Pool& pool, util::Rng& rng) {\n"
-                       "  pool.parallel_for(4, [&](std::size_t i) {\n"
-                       "    const double v = rng.uniform(0.0, 1.0);\n"
-                       "    sink(i, v);\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("[rng-in-parallel]"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("parallel_for"), std::string::npos) << r.output;
-}
-
-TEST_F(BicordLintTest, RngDrawOutsideRegionIsQuiet) {
-  const auto p = write("src/pr2.cpp",
-                       "void jitter(Pool& pool, util::Rng& rng) {\n"
-                       "  const double v = rng.uniform(0.0, 1.0);\n"
-                       "  pool.parallel_for(4, [&](std::size_t i) { sink(i, v); });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
-TEST_F(BicordLintTest, RngDrawInAbsorbOverrideFires) {
-  const auto p = write("src/pr3.cpp",
-                       "void Radio::on_tx_start_absorb(const Tx& tx) {\n"
-                       "  const double fading = rng_.normal(0.0, sigma_);\n"
-                       "  track(tx, fading);\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("[rng-in-parallel]"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("absorb-phase override"), std::string::npos)
-      << r.output;
-}
-
-TEST_F(BicordLintTest, RngAccessorChainInRegionFires) {
-  const auto p = write("src/pr4.cpp",
-                       "void go(Pool& pool, Sim& sim) {\n"
-                       "  pool.parallel_for(4, [&](std::size_t i) {\n"
-                       "    sink(i, sim.rng().bernoulli(0.5));\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("[rng-in-parallel]"), std::string::npos) << r.output;
-}
-
-TEST_F(BicordLintTest, RngInParallelIsWaivable) {
-  // The sanctioned shape: a listener-local split stream, waived in place
-  // (src/phy/radio.cpp carries exactly this annotation).
-  const auto p = write("src/pr5.cpp",
-                       "void Radio::on_tx_start_absorb(const Tx& tx) {\n"
-                       "  // bicord-lint: allow(rng-in-parallel) — own split stream\n"
-                       "  const double fading = rng_.normal(0.0, sigma_);\n"
-                       "  track(tx, fading);\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
-// --- parallel-phase rules: parallel-shared-mutation -------------------------
-
-TEST_F(BicordLintTest, CatchAllPushBackInParallelForFires) {
-  const auto p = write("src/pm1.cpp",
-                       "void gather(Pool& pool, std::vector<int>& out) {\n"
-                       "  pool.parallel_for(4, [&](std::size_t i) {\n"
-                       "    out.push_back(static_cast<int>(i));\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("[parallel-shared-mutation]"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("`out`"), std::string::npos) << r.output;
-}
-
-TEST_F(BicordLintTest, ShardedIndexedWriteIsQuiet) {
-  // Writing through the region's own index parameter is the sanctioned
-  // pattern (each worker owns its slot).
-  const auto p = write("src/pm2.cpp",
-                       "void gather(Pool& pool, std::vector<int>& out) {\n"
-                       "  pool.parallel_for(4, [&](std::size_t i) {\n"
-                       "    out[i] = static_cast<int>(i);\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
-TEST_F(BicordLintTest, RegionLocalMutationIsQuiet) {
-  const auto p = write("src/pm3.cpp",
-                       "void sum(Pool& pool, std::vector<int>& out) {\n"
-                       "  pool.parallel_for(4, [&](std::size_t i) {\n"
-                       "    int local = 0;\n"
-                       "    local += static_cast<int>(i);\n"
-                       "    out[i] = local;\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
-TEST_F(BicordLintTest, ExplicitRefCaptureAccumulationFires) {
-  const auto p = write("src/pm4.cpp",
-                       "void sum(Pool& pool, double& total) {\n"
-                       "  pool.parallel_for(4, [&total](std::size_t i) {\n"
-                       "    total += static_cast<double>(i);\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("[parallel-shared-mutation]"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("`total`"), std::string::npos) << r.output;
-}
-
-TEST_F(BicordLintTest, DispatcherLaneCallbackMutationFires) {
-  const auto p = write("src/pm5.cpp",
-                       "void plan(ParallelDispatcher& dispatcher,\n"
-                       "          std::vector<int>& hits) {\n"
-                       "  dispatcher.after(shard, delay, [&hits] {\n"
-                       "    hits.push_back(1);\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("[parallel-shared-mutation]"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("lane callback"), std::string::npos) << r.output;
-}
-
-TEST_F(BicordLintTest, BarrierClassCallbackIsSerialAndQuiet) {
-  // at_barrier callbacks run serially on the dispatch thread — mutation
-  // there is the *point* (merging shard results).
-  const auto p = write("src/pm6.cpp",
-                       "void merge(ParallelDispatcher& dispatcher,\n"
-                       "           std::vector<int>& hits) {\n"
-                       "  dispatcher.at_barrier(when, [&hits] {\n"
-                       "    hits.push_back(1);\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
-TEST_F(BicordLintTest, MutationOutsideRegionIsQuiet) {
-  const auto p = write("src/pm7.cpp",
-                       "void gather(Pool& pool, std::vector<int>& out) {\n"
-                       "  out.push_back(0);\n"
-                       "  pool.parallel_for(4, [&](std::size_t i) { sink(i); });\n"
-                       "  out.push_back(1);\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
-TEST_F(BicordLintTest, ParallelRulesSkipThePoolHomes) {
-  // The pool/dispatcher implementations orchestrate the workers; their own
-  // internal mutation is the machinery itself, mirroring thread-outside-pool.
-  write("src/sim/parallel_dispatch.cpp",
-        "void Pool::run(std::vector<int>& out) {\n"
-        "  parallel_for(4, [&](std::size_t i) { out.push_back(1); });\n"
-        "}\n");
-  const Result r = run((root_ / "src" / "sim").string());
-  EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
 // --- unordered-accumulation -------------------------------------------------
@@ -933,27 +772,13 @@ TEST_F(BicordLintLayeringTest, UnlistedModuleWarnsAndIsUnconstrained) {
 
 // --- waiver edge cases ------------------------------------------------------
 
-TEST_F(BicordLintTest, AllowInsideParallelRegionHonored) {
-  const auto p = write("src/we1.cpp",
-                       "void jitter(Pool& pool, util::Rng& rng) {\n"
-                       "  pool.parallel_for(4, [&](std::size_t i) {\n"
-                       "    sink(i, rng.uniform(0.0, 1.0));  "
-                       "// bicord-lint: allow(rng-in-parallel)\n"
-                       "  });\n"
-                       "}\n");
-  const Result r = run_on(p);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-}
-
 TEST_F(BicordLintTest, StackedMultiRuleWaiverHonored) {
   // One annotation naming several rules waives each of them on the next line.
   const auto p = write(
       "src/we2.cpp",
-      "void mix(Pool& pool, util::Rng& rng, std::vector<double>& out) {\n"
-      "  pool.parallel_for(4, [&](std::size_t i) {\n"
-      "    // bicord-lint: allow(rng-in-parallel, parallel-shared-mutation)\n"
-      "    out.push_back(rng.uniform(0.0, 1.0));\n"
-      "  });\n"
+      "long mix() {\n"
+      "  // bicord-lint: allow(wall-clock, banned-rand)\n"
+      "  return time(nullptr) + std::rand();\n"
       "}\n");
   const Result r = run_on(p);
   EXPECT_EQ(r.exit_code, 0) << r.output;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -25,8 +26,13 @@ struct Result {
 };
 
 Result run_sim(const std::string& args) {
+  // One capture file per test case and process: ctest -j runs the discovered
+  // cases concurrently, and a shared path lets them overwrite each other.
+  const std::string test_name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
   const fs::path out_file =
-      fs::path(::testing::TempDir()) / "bicordsim_cli_out.txt";
+      fs::path(::testing::TempDir()) /
+      ("bicordsim_cli_" + test_name + "_" + std::to_string(::getpid()) + ".txt");
   const std::string cmd = std::string(BICORD_SIM_BIN) + " " + args + " > " +
                           out_file.string() + " 2>&1";
   const int raw = std::system(cmd.c_str());
@@ -36,6 +42,8 @@ Result run_sim(const std::string& args) {
   std::stringstream ss;
   ss << in.rdbuf();
   r.output = ss.str();
+  in.close();
+  fs::remove(out_file);
   return r;
 }
 
@@ -62,6 +70,15 @@ TEST(BicordsimCliTest, InvariantViolationsGateTheExitCode) {
 TEST(BicordsimCliTest, UnknownPresetExitsWithUsageError) {
   const Result r = run_sim("--scenario no-such-preset --seconds 1");
   EXPECT_EQ(r.exit_code, 2) << r.output;
+}
+
+TEST(BicordsimCliTest, ListPresetsOmitsBlePresets) {
+  // `ble` specs drive bench_ext_ble and bicordsim rejects them, so the list
+  // must not advertise them.
+  const Result r = run_sim("--list-presets");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("| dense1k "), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("| ble "), std::string::npos) << r.output;
 }
 
 }  // namespace

@@ -1,21 +1,16 @@
 // bicord-lint v2: the project-aware analyzer clang-tidy cannot replace.
 //
 // Encodes BiCord-specific static rules — the determinism contract
-// (DESIGN.md Sec. 7), the callback-lifetime lessons of the PR-3 EventQueue
-// use-after-free, and the phase discipline of the PR-8 intra-simulation
-// parallelism — as a two-pass analysis over the source tree.
+// (DESIGN.md Sec. 7) and the callback-lifetime lessons of the EventQueue
+// periodic-callback use-after-free — as a two-pass analysis over the
+// source tree.
 //
 //   pass 1  builds a per-TU model from the comment/string-stripped token
 //           stream: resolved `#include "module/file.hpp"` edges (against
-//           --src-root), a lightweight symbol table (float/double names,
-//           Rng-typed names, unordered-container names), and the spans of
-//           *parallel regions* — lambda bodies passed to
-//           `WorkerPool::parallel_for`, `ParallelDispatcher` lane callbacks
-//           (`.at()`/`.after()` on a dispatcher), and `MediumListener`
-//           `*_absorb` phase overrides.
+//           --src-root) and a lightweight symbol table (float/double names,
+//           unordered-container names).
 //   pass 2  runs cross-file rules over the merged model: the include-graph
-//           layering DAG (declared in scripts/layering.txt) plus the
-//           region-scoped parallel-phase rules.
+//           layering DAG (declared in scripts/layering.txt).
 //
 // It is deliberately not a real C++ parser: every rule is chosen so that a
 // stripped token scan decides it with near-zero false positives on this
@@ -38,16 +33,6 @@
 //                          a float/double `+=` accumulation fed from an
 //                          unordered-container loop — float addition does not
 //                          commute, so the sum depends on hash order
-//   parallel phase discipline (src/ outside the pool homes)
-//     parallel-shared-mutation
-//                          assignment / mutating container call on a
-//                          by-reference lambda capture inside a parallel
-//                          region, unless the write is indexed by the
-//                          region's own index parameter (sharded writes are
-//                          the sanctioned pattern)
-//     rng-in-parallel      any Rng draw inside a parallel region — the draw
-//                          order across workers is scheduling-dependent, so
-//                          shared-stream draws break per-seed bitwise replay
 //   lifetime (src/ only)
 //     delayed-ref-capture  [&] catch-all (any scheduling call) or raw `this`
 //                          (direct EventQueue::schedule/schedule_periodic)
@@ -69,8 +54,7 @@
 //                            ScenarioConfig/BleScenarioConfig directly
 //     grant-issue-outside-engine (src/ outside src/core/) calling the
 //                            grant-issue primitives or naming GrantHistory
-//     thread-outside-pool    (src/ outside src/runner/ and
-//                            src/sim/parallel_dispatch.cpp) naming
+//     thread-outside-pool    (src/ outside src/runner/) naming
 //                            std::thread / std::jthread / std::async
 //
 // Fingerprints are rule-tagged — `rule:path:token-hash:occurrence` — so the
@@ -117,8 +101,6 @@ const std::vector<std::string> kAllRules = {
     "wall-clock",
     "unordered-iteration",
     "unordered-accumulation",
-    "parallel-shared-mutation",
-    "rng-in-parallel",
     "delayed-ref-capture",
     "slab-callback-invoke",
     "layering",
@@ -410,98 +392,16 @@ std::size_t match_forward(const std::string& text, std::size_t open) {
 
 // --- pass 1: the per-TU model -----------------------------------------------
 
-struct ParallelRegion {
-  enum class Kind { kParallelFor, kLaneCallback, kAbsorbOverride };
-  Kind kind = Kind::kParallelFor;
-  std::size_t begin = 0;  // buffer offset of the opening {
-  std::size_t end = 0;    // buffer offset of the matching }
-  std::string index_param;             // lambda's first parameter name
-  bool catch_all_ref = false;          // [&] / [&, ...]
-  std::set<std::string> ref_captures;  // explicit &name captures
-};
-
-const char* region_kind_name(ParallelRegion::Kind k) {
-  switch (k) {
-    case ParallelRegion::Kind::kParallelFor: return "a parallel_for body";
-    case ParallelRegion::Kind::kLaneCallback:
-      return "a dispatcher lane callback";
-    case ParallelRegion::Kind::kAbsorbOverride:
-      return "an absorb-phase override";
-  }
-  return "a parallel region";
-}
-
 struct TuModel {
   std::string path;    // normalized, as given
   std::string module;  // first dir under --src-root, or "" outside src
   FileView view;
   Buffer buf;
   std::set<std::string> fp_names;         // names declared float/double
-  std::set<std::string> rng_names;        // names declared (util::)Rng
-  std::set<std::string> dispatcher_names; // names declared ParallelDispatcher
   std::set<std::string> unordered_names;  // names declared unordered_map/set
-  std::vector<ParallelRegion> regions;
 
   explicit TuModel(FileView v) : view(std::move(v)), buf(view) {}
 };
-
-/// Splits a lambda capture intro ("&", "&a, b", "this, &c") into the
-/// region's capture fields.
-void parse_capture_intro(const std::string& intro, ParallelRegion* region) {
-  std::stringstream ss(intro);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    if (item.empty()) continue;
-    if (item == "&") {
-      region->catch_all_ref = true;
-      continue;
-    }
-    if (item[0] == '&') {
-      // "&name" or init-capture "&name = expr" — both bind by reference.
-      std::string name = trim(item.substr(1));
-      const auto eq = name.find('=');
-      if (eq != std::string::npos) name = trim(name.substr(0, eq));
-      if (!name.empty() && ident_char(name[0])) region->ref_captures.insert(name);
-    }
-  }
-}
-
-/// First parameter name of a lambda parameter list ("std::size_t i" -> "i").
-std::string first_param_name(const std::string& params) {
-  std::string head = params;
-  const auto comma = head.find(',');
-  if (comma != std::string::npos) head = head.substr(0, comma);
-  static const std::regex last_ident(R"(([A-Za-z_]\w*)\s*$)");
-  std::smatch m;
-  if (std::regex_search(head, m, last_ident)) return m[1].str();
-  return "";
-}
-
-/// Finds the first lambda inside the argument extent [begin, end) of `text`
-/// and appends a region of `kind`. Returns true when one was found.
-bool add_lambda_region(const std::string& text, std::size_t begin,
-                       std::size_t end, ParallelRegion::Kind kind,
-                       std::vector<ParallelRegion>* out) {
-  static const std::regex intro_re(
-      R"(\[([^\[\]]*)\]\s*(?:\(([^()]*)\))?\s*(?:mutable\b\s*)?\{)");
-  const std::string args = text.substr(begin, end - begin);
-  std::smatch m;
-  if (!std::regex_search(args, m, intro_re)) return false;
-  const std::size_t body_open =
-      begin + static_cast<std::size_t>(m.position(0)) +
-      static_cast<std::size_t>(m.length(0)) - 1;
-  const std::size_t body_close = match_forward(text, body_open);
-  if (body_close == std::string::npos) return false;
-  ParallelRegion region;
-  region.kind = kind;
-  region.begin = body_open;
-  region.end = body_close;
-  region.index_param = first_param_name(m[2].str());
-  parse_capture_intro(m[1].str(), &region);
-  out->push_back(std::move(region));
-  return true;
-}
 
 TuModel build_model(const std::string& path, bool* ok) {
   FileView v = load_file(path, ok);
@@ -511,23 +411,11 @@ TuModel build_model(const std::string& path, bool* ok) {
 
   // Symbol table: declared names with types the rules care about.
   static const std::regex fp_decl(R"(\b(?:double|float)\s+([A-Za-z_]\w*)\b)");
-  static const std::regex rng_decl(
-      R"(\bRng\s*[&*]?\s*([A-Za-z_]\w*)\s*[;,)=({]?)");
-  static const std::regex disp_decl(
-      R"(\bParallelDispatcher\s*[&*]?\s*([A-Za-z_]\w*)\b)");
   static const std::regex decl_tail(R"(([A-Za-z_]\w*)\s*(?:;|=|\{|\)|,|$))");
   for (const auto& c : model.view.code) {
     for (auto it = std::sregex_iterator(c.begin(), c.end(), fp_decl);
          it != std::sregex_iterator(); ++it) {
       model.fp_names.insert((*it)[1].str());
-    }
-    for (auto it = std::sregex_iterator(c.begin(), c.end(), rng_decl);
-         it != std::sregex_iterator(); ++it) {
-      model.rng_names.insert((*it)[1].str());
-    }
-    for (auto it = std::sregex_iterator(c.begin(), c.end(), disp_decl);
-         it != std::sregex_iterator(); ++it) {
-      model.dispatcher_names.insert((*it)[1].str());
     }
     if (c.find("unordered_map") != std::string::npos ||
         c.find("unordered_set") != std::string::npos) {
@@ -540,68 +428,6 @@ TuModel build_model(const std::string& path, bool* ok) {
         }
       }
     }
-  }
-
-  const std::string& text = model.buf.text;
-
-  // Parallel regions, kind 1: lambdas passed to WorkerPool::parallel_for.
-  static const std::regex pf_re(R"(\bparallel_for\s*\()");
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), pf_re);
-       it != std::sregex_iterator(); ++it) {
-    const std::size_t open = static_cast<std::size_t>(it->position(0)) +
-                             static_cast<std::size_t>(it->length(0)) - 1;
-    const std::size_t close = match_forward(text, open);
-    if (close == std::string::npos) continue;
-    add_lambda_region(text, open + 1, close,
-                      ParallelRegion::Kind::kParallelFor, &model.regions);
-  }
-
-  // Kind 2: lane callbacks — lambdas handed to a ParallelDispatcher's
-  // at()/after() (they execute on worker threads inside a window).
-  static const std::regex lane_re(
-      R"((\b[A-Za-z_]\w*)\s*(?:\.|->)\s*(?:at|after)\s*\()");
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), lane_re);
-       it != std::sregex_iterator(); ++it) {
-    const std::string recv = (*it)[1].str();
-    std::string lower = recv;
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char ch) { return std::tolower(ch); });
-    if (!model.dispatcher_names.count(recv) &&
-        lower.find("dispatcher") == std::string::npos) {
-      continue;
-    }
-    const std::size_t open = static_cast<std::size_t>(it->position(0)) +
-                             static_cast<std::size_t>(it->length(0)) - 1;
-    const std::size_t close = match_forward(text, open);
-    if (close == std::string::npos) continue;
-    add_lambda_region(text, open + 1, close,
-                      ParallelRegion::Kind::kLaneCallback, &model.regions);
-  }
-
-  // Kind 3: MediumListener absorb-phase override bodies — `*_absorb(...)`
-  // definitions (a trailing `{`, not a declaration's `;` or a call's `;`).
-  static const std::regex absorb_re(R"(\b\w+_absorb\s*\()");
-  static const std::regex absorb_body(
-      R"(^\s*(?:const\b\s*)?(?:noexcept\b\s*)?(?:override\b\s*)?(?:final\b\s*)?\{)");
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), absorb_re);
-       it != std::sregex_iterator(); ++it) {
-    const std::size_t open = static_cast<std::size_t>(it->position(0)) +
-                             static_cast<std::size_t>(it->length(0)) - 1;
-    const std::size_t close = match_forward(text, open);
-    if (close == std::string::npos) continue;
-    const std::string after = text.substr(close + 1, 64);
-    std::smatch m;
-    if (!std::regex_search(after, m, absorb_body)) continue;
-    const std::size_t body_open = close + 1 +
-                                  static_cast<std::size_t>(m.position(0)) +
-                                  static_cast<std::size_t>(m.length(0)) - 1;
-    const std::size_t body_close = match_forward(text, body_open);
-    if (body_close == std::string::npos) continue;
-    ParallelRegion region;
-    region.kind = ParallelRegion::Kind::kAbsorbOverride;
-    region.begin = body_open;
-    region.end = body_close;
-    model.regions.push_back(std::move(region));
   }
 
   return model;
@@ -684,19 +510,13 @@ class Linter {
     // The config structs' home layer plus the tests that exercise them.
     const bool spec_layer = norm.find("src/coex/") != std::string::npos ||
                             path_has_segment(norm, "tests");
-    // Threads live in exactly two places: the trial pool (src/runner/) and
-    // the intra-sim worker pool (src/sim/parallel_dispatch.cpp). Those homes
-    // are also where the parallel-phase machinery itself lives, so the
-    // region rules skip them too.
-    const bool pool_home =
-        norm.find("src/runner/") != std::string::npos ||
-        norm.find("src/sim/parallel_dispatch.cpp") != std::string::npos;
+    // Threads live in exactly one place: the trial pool (src/runner/).
+    const bool pool_home = norm.find("src/runner/") != std::string::npos;
     if (core) {
       check_banned_tokens(model);
       check_unordered_iteration(model);
       check_delayed_captures(model);
       check_slab_invoke(model);
-      if (!pool_home) check_parallel_regions(model);
     }
     if (is_header(norm)) {
       check_pragma_once(model);
@@ -954,10 +774,9 @@ class Linter {
 
   void check_thread_outside_pool(const TuModel& m) {
     // Every thread in src/ must come from runner::TrialPool (across-trial
-    // fan-out, budgeted by --jobs/BICORD_JOBS) or sim::WorkerPool (intra-sim
-    // shard fan-out, budgeted by sim.threads). A raw std::thread/std::async
-    // escapes both budgets and the bitwise-determinism gates built around
-    // those pools.
+    // fan-out, budgeted by --jobs/BICORD_JOBS). A simulation runs on one
+    // thread; a raw std::thread/std::async inside it escapes the budget and
+    // the bitwise-determinism gates built around the pool.
     static const std::regex re(R"(\bstd\s*::\s*(thread|jthread|async)\b)");
     const FileView& v = m.view;
     for (std::size_t i = 0; i < v.code.size(); ++i) {
@@ -965,9 +784,9 @@ class Linter {
       if (c.find("#include") != std::string::npos) continue;
       if (std::regex_search(c, re)) {
         report(m, i, "thread-outside-pool",
-               "raw thread primitive outside runner::TrialPool / "
-               "sim::WorkerPool (threads are budgeted and determinism-gated "
-               "only through the pools): " +
+               "raw thread primitive outside runner::TrialPool (threads "
+               "are budgeted and determinism-gated only through the trial "
+               "pool; a simulation runs on one thread): " +
                    trim(v.raw[i]));
       }
     }
@@ -1061,161 +880,6 @@ class Linter {
                "(use a tolerance): " +
                    trim(v.raw[i]));
       }
-    }
-  }
-
-  // --- parallel-phase rules (per-TU, region-scoped) ------------------------
-
-  /// True when `name` looks declared inside `region` (preceded, ignoring
-  /// whitespace, by an identifier/&/*/> token that is not a statement
-  /// keyword): `int n`, `auto& s`, `T* l`, `std::vector<int> out`.
-  static bool declared_in_region(const std::string& region,
-                                 const std::string& name) {
-    static const std::set<std::string> kStmtKeywords = {
-        "return", "throw", "delete", "goto", "case", "co_return", "co_yield"};
-    std::size_t pos = 0;
-    while ((pos = region.find(name, pos)) != std::string::npos) {
-      const std::size_t after = pos + name.size();
-      const bool whole = (pos == 0 || !ident_char(region[pos - 1])) &&
-                         (after >= region.size() || !ident_char(region[after]));
-      if (!whole) {
-        pos = after;
-        continue;
-      }
-      std::size_t p = pos;
-      while (p > 0 && std::isspace(static_cast<unsigned char>(region[p - 1]))) {
-        --p;
-      }
-      if (p > 0) {
-        const char prev = region[p - 1];
-        if (prev == '&' || prev == '*' || prev == '>') return true;
-        if (ident_char(prev)) {
-          std::size_t b = p;
-          while (b > 0 && ident_char(region[b - 1])) --b;
-          if (!kStmtKeywords.count(region.substr(b, p - b))) return true;
-        }
-      }
-      pos = after;
-    }
-    return false;
-  }
-
-  /// True when the index expression of a write names the region's own index
-  /// parameter or a region-local derivation of it — the sanctioned sharded
-  /// write pattern (`out[i] = …`).
-  static bool index_is_sharded(const std::string& index,
-                               const std::string& region,
-                               const std::string& param) {
-    static const std::regex word_re(R"([A-Za-z_]\w*)");
-    for (auto it = std::sregex_iterator(index.begin(), index.end(), word_re);
-         it != std::sregex_iterator(); ++it) {
-      if (!param.empty() && it->str() == param) return true;
-      if (declared_in_region(region, it->str())) return true;
-    }
-    return false;
-  }
-
-  void check_parallel_regions(const TuModel& m) {
-    for (const auto& region : m.regions) {
-      const std::string body =
-          m.buf.text.substr(region.begin + 1, region.end - region.begin - 1);
-      const std::size_t base = region.begin + 1;
-      check_rng_in_region(m, region, body, base);
-      if (region.kind != ParallelRegion::Kind::kAbsorbOverride) {
-        check_shared_mutation(m, region, body, base);
-      }
-    }
-  }
-
-  void check_rng_in_region(const TuModel& m, const ParallelRegion& region,
-                           const std::string& body, std::size_t base) {
-    // A draw through a declared Rng name, an rng-ish identifier, or the
-    // simulator's rng() accessor. Worker interleaving makes the order of
-    // draws from a shared stream nondeterministic; listener-local split
-    // streams carry an explicit waiver instead.
-    static const std::regex draw_re(
-        R"((\b[A-Za-z_]\w*)\s*(?:\.|->)\s*(next|uniform|uniform_int|uniform_duration|normal|poisson|bernoulli|split|jump)\s*\()");
-    static const std::regex accessor_re(R"(\brng\s*\(\s*\)\s*(?:\.|->)\s*\w+\s*\()");
-    for (auto it = std::sregex_iterator(body.begin(), body.end(), draw_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::string recv = (*it)[1].str();
-      std::string lower = recv;
-      std::transform(lower.begin(), lower.end(), lower.begin(),
-                     [](unsigned char ch) { return std::tolower(ch); });
-      if (!m.rng_names.count(recv) && lower.find("rng") == std::string::npos) {
-        continue;
-      }
-      const std::size_t line_idx =
-          m.buf.line_of(base + static_cast<std::size_t>(it->position(0)));
-      report(m, line_idx, "rng-in-parallel",
-             std::string("Rng draw inside ") + region_kind_name(region.kind) +
-                 " — draw order across workers is scheduling-dependent: " +
-                 trim(m.view.raw[line_idx]));
-    }
-    for (auto it = std::sregex_iterator(body.begin(), body.end(), accessor_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::size_t line_idx =
-          m.buf.line_of(base + static_cast<std::size_t>(it->position(0)));
-      report(m, line_idx, "rng-in-parallel",
-             std::string("Rng draw inside ") + region_kind_name(region.kind) +
-                 " — draw order across workers is scheduling-dependent: " +
-                 trim(m.view.raw[line_idx]));
-    }
-  }
-
-  void check_shared_mutation(const TuModel& m, const ParallelRegion& region,
-                             const std::string& body, std::size_t base) {
-    // Mutations of by-reference captures: direct assignment/compound
-    // assignment/inc-dec at statement position, mutating container calls,
-    // and indexed writes whose index does not derive from the region's own
-    // index parameter. Region-local declarations are exempt.
-    static const std::string kAssignOps =
-        R"((?:=[^=]|\+=|-=|\*=|/=|%=|&=|\|=|\^=|<<=|>>=|\+\+|--))";
-    static const std::string kMutators =
-        R"((?:push_back|emplace_back|emplace_front|emplace|insert|erase|clear|resize|reserve|assign|append|pop_back|pop_front|push_front|push|pop|store|fetch_add|fetch_sub|exchange|reset|merge|extract))";
-    static const std::regex assign_re(
-        R"((?:^|[;{}(,]|\bdo\b|\belse\b)\s*(?:\+\+|--)?\s*([A-Za-z_]\w*)\s*)" +
-        kAssignOps);
-    static const std::regex mutcall_re(
-        R"(\b([A-Za-z_]\w*)\s*(?:\.|->)\s*)" + kMutators + R"(\s*\()");
-    static const std::regex indexed_re(
-        R"(\b([A-Za-z_]\w*)\s*\[([^\[\]]*)\]\s*)" + kAssignOps);
-
-    const auto is_shared = [&](const std::string& name) {
-      if (name == region.index_param || name == "this") return false;
-      if (region.ref_captures.count(name)) return true;
-      if (!region.catch_all_ref) return false;
-      return !declared_in_region(body, name);
-    };
-    const auto flag = [&](std::size_t pos, const std::string& name,
-                          const std::string& how) {
-      const std::size_t line_idx = m.buf.line_of(base + pos);
-      report(m, line_idx, "parallel-shared-mutation",
-             how + " of by-reference capture `" + name + "` inside " +
-                 region_kind_name(region.kind) +
-                 " — concurrent writers race and break bitwise determinism: " +
-                 trim(m.view.raw[line_idx]));
-    };
-
-    for (auto it = std::sregex_iterator(body.begin(), body.end(), assign_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::string name = (*it)[1].str();
-      if (!is_shared(name)) continue;
-      flag(static_cast<std::size_t>(it->position(1)), name, "assignment");
-    }
-    for (auto it = std::sregex_iterator(body.begin(), body.end(), mutcall_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::string name = (*it)[1].str();
-      if (!is_shared(name)) continue;
-      flag(static_cast<std::size_t>(it->position(1)), name, "mutating call");
-    }
-    for (auto it = std::sregex_iterator(body.begin(), body.end(), indexed_re);
-         it != std::sregex_iterator(); ++it) {
-      const std::string name = (*it)[1].str();
-      if (!is_shared(name)) continue;
-      if (index_is_sharded((*it)[2].str(), body, region.index_param)) continue;
-      flag(static_cast<std::size_t>(it->position(1)), name,
-           "non-sharded indexed write");
     }
   }
 

@@ -126,9 +126,6 @@ int main(int argc, char** argv) {
                 "independent repetitions (> 1 reports mean +/- 95% CI over "
                 "per-trial seed streams instead of one run's numbers)");
   add_jobs_flag(flags);
-  flags.add_int("sim-threads", 1,
-                "shard-parallel event dispatch inside one simulation "
-                "(1 = serial; output stays bit-identical to serial)");
   flags.add_bool("progress", false, "print per-trial progress to stderr");
   flags.add_string("trace-file", "", "write a JSONL transmission trace to this path");
   flags.add_bool("timeline", false, "print an ASCII timeline of the final 300 ms");
@@ -153,6 +150,8 @@ int main(int argc, char** argv) {
     AsciiTable presets;
     presets.set_header({"preset", "scenario"});
     for (const auto& name : coex::ScenarioSpec::preset_names()) {
+      // BLE-topology presets drive bench_ext_ble; bicordsim rejects them.
+      if (coex::ScenarioSpec::preset(name)->is_ble()) continue;
       presets.add_row({name, coex::ScenarioSpec::preset_summary(name)});
     }
     std::printf("%s", presets.render().c_str());
@@ -208,9 +207,6 @@ int main(int argc, char** argv) {
   }
   if (overriding("device-mobility")) {
     spec.set("mobility.device", flags.get_bool("device-mobility"));
-  }
-  if (overriding("sim-threads")) {
-    spec.set("sim.threads", static_cast<int>(flags.get_int("sim-threads")));
   }
   if (flags.provided("set")) {
     const std::string& kv = flags.get_string("set");
@@ -309,24 +305,6 @@ int main(int argc, char** argv) {
   scenario.start_measurement();
   scenario.run_for(Duration::from_sec(flags.get_int("seconds")));
   if (checker != nullptr) checker->finish(scenario.fault_injector());
-
-  // The parallel-dispatch report goes to stderr so stdout stays byte-identical
-  // across sim.threads settings (the determinism gate diffs stdout).
-  if (const auto* dispatcher = scenario.dispatcher()) {
-    const auto st = dispatcher->stats();
-    const auto* plan = scenario.shard_plan();
-    std::fprintf(stderr,
-                 "[parallel] sim.threads=%d shards=%d lookahead=%lldus "
-                 "cross-shard-pairs=%zu windows=%llu sharded=%llu "
-                 "barrier=%llu deferred=%llu\n",
-                 scenario.sim_threads(), plan != nullptr ? plan->shards : 0,
-                 static_cast<long long>(plan != nullptr ? plan->lookahead.us() : 0),
-                 plan != nullptr ? plan->cross_shard_pairs : std::size_t{0},
-                 static_cast<unsigned long long>(st.windows),
-                 static_cast<unsigned long long>(st.sharded_events),
-                 static_cast<unsigned long long>(st.barrier_events),
-                 static_cast<unsigned long long>(st.deferred_events));
-  }
 
   const auto util = scenario.utilization();
   const auto& zb = scenario.zigbee_stats();
